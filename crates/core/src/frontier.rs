@@ -540,7 +540,7 @@ impl FrontierSpec {
     /// [`FrontierSpec::refine`] would walk (edges are independent), so the
     /// returned points — in `edges` order — are bit-identical to mapping
     /// `refine` over the bundle, whatever the bundle size. This is the
-    /// unit of fan-out for the parallel driver's `--chunk` knob.
+    /// unit of fan-out for the parallel driver's edge bundles.
     pub fn refine_edges(
         &self,
         base: &ModelParams,
@@ -691,8 +691,8 @@ impl FrontierSpec {
     /// one lockstep bundle. The parallel driver
     /// (`sss_loadgen::FrontierJob`) fans the same row and bundle functions
     /// across a pool and reassembles in order, so its output is
-    /// bit-identical to this reference — as is the point-wise
-    /// [`FrontierSpec::compute_scalar`] oracle.
+    /// bit-identical to this reference — as is the point-wise oracle
+    /// the tests hold it to.
     pub fn compute(&self, base: &ModelParams) -> FrontierMap {
         let slices: Vec<FrontierSlice> = self
             .zs()
@@ -714,6 +714,7 @@ impl FrontierSpec {
     /// edge, exactly as the engine worked before batching. Kept as the
     /// oracle the batched path is tested against; output is bit-identical
     /// to [`FrontierSpec::compute`].
+    #[cfg(test)]
     pub fn compute_scalar(&self, base: &ModelParams) -> FrontierMap {
         let slices: Vec<FrontierSlice> = self
             .zs()

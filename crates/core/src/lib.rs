@@ -72,7 +72,7 @@ pub mod sensitivity;
 pub mod sss;
 pub mod tiers;
 
-pub use batch::{BatchEvaluator, BatchView, EvalEngine, ParamsBatch};
+pub use batch::{BatchEvaluator, BatchView, ParamsBatch};
 pub use congestion::{CongestionCurve, Curve1D, MG1Reference, MM1Reference};
 pub use contention::{contended_decision, ContentionSummary};
 pub use decision::{decide, decide_batch, BreakEven, Decision, DecisionReport, RegimeMap};

@@ -2,9 +2,22 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crossbeam::channel;
-use parking_lot::Mutex;
+
+/// Lock a result slot or the panic record, recovering from poison: the
+/// critical sections are single assignments, which cannot be left half
+/// done.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Unwrap a mutex once every worker has joined, recovering from poison
+/// like [`lock`].
+fn into_inner<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A scoped thread pool over a shared work queue.
 ///
@@ -74,10 +87,10 @@ impl ThreadPool {
                     }
                     match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
                         Ok(r) => {
-                            slots.lock()[i] = Some(r);
+                            lock(&slots)[i] = Some(r);
                         }
                         Err(p) => {
-                            *panic_payload.lock() = Some(p);
+                            *lock(&panic_payload) = Some(p);
                             // Drain remaining work so peers exit promptly.
                             next.store(n, Ordering::Relaxed);
                             break;
@@ -87,11 +100,10 @@ impl ThreadPool {
             }
         });
 
-        if let Some(p) = panic_payload.into_inner() {
+        if let Some(p) = into_inner(panic_payload) {
             resume_unwind(p);
         }
-        slots
-            .into_inner()
+        into_inner(slots)
             .iter_mut()
             .map(|s| s.take().expect("worker left a result slot empty"))
             .collect()
@@ -142,10 +154,10 @@ impl ThreadPool {
                     for (i, task) in rx.iter() {
                         match catch_unwind(AssertUnwindSafe(task)) {
                             Ok(r) => {
-                                slots.lock()[i] = Some(r);
+                                lock(slots)[i] = Some(r);
                             }
                             Err(p) => {
-                                *panic_payload.lock() = Some(p);
+                                *lock(panic_payload) = Some(p);
                                 return;
                             }
                         }
@@ -154,11 +166,10 @@ impl ThreadPool {
             }
         });
 
-        if let Some(p) = panic_payload.into_inner() {
+        if let Some(p) = into_inner(panic_payload) {
             resume_unwind(p);
         }
-        slots
-            .into_inner()
+        into_inner(slots)
             .iter_mut()
             .map(|s| s.take().expect("task left a result slot empty"))
             .collect()

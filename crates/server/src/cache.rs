@@ -28,9 +28,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sss_core::ModelParams;
 
@@ -140,13 +139,18 @@ impl<K: Hash + Eq + Clone> ResponseCache<K> {
         }
     }
 
+    /// The locked shard that owns `key`.
+    fn shard(&self, key: &K) -> MutexGuard<'_, Shard<K>> {
+        lock(&self.shards[shard_of(key)])
+    }
+
     /// Look up a key, counting the hit or miss.
     pub fn get(&self, key: &K) -> Option<Arc<str>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let found = self.shards[shard_of(key)].lock().map.get(key).cloned();
+        let found = self.shard(key).map.get(key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -160,7 +164,7 @@ impl<K: Hash + Eq + Clone> ResponseCache<K> {
         if self.capacity == 0 {
             return;
         }
-        let mut shard = self.shards[shard_of(&key)].lock();
+        let mut shard = self.shard(&key);
         if shard.map.insert(key.clone(), body).is_none() {
             shard.order.push_back(key);
             if shard.order.len() > self.per_shard_capacity {
@@ -178,10 +182,17 @@ impl<K: Hash + Eq + Clone> ResponseCache<K> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().map.len()).sum(),
+            entries: self.shards.iter().map(|s| lock(s).map.len()).sum(),
             capacity: self.capacity,
         }
     }
+}
+
+/// Lock a shard, recovering from poison rather than propagating it: the
+/// critical sections are single map and queue operations, so a panicking
+/// holder cannot leave a shard inconsistent.
+fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -227,8 +227,8 @@ const SIMULATE_CACHE_CAP: usize = 256;
 const FLEET_CACHE_CAP: usize = 64;
 
 /// The identity of a `/fleet` query: every knob that shapes the fleet,
-/// with float knobs compared by their exact bits (the engine is a pure
-/// function of them, so bit-equal knobs mean byte-equal bodies).
+/// with float knobs compared by their exact bits (the simulation is a
+/// pure function of them, so bit-equal knobs mean byte-equal bodies).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FleetKey {
     sessions: u32,
@@ -286,10 +286,9 @@ impl SimulateKey {
 /// Single-flight coordination: the first thread to miss on a key
 /// computes; identical concurrent misses wait for its insert and are
 /// then served the computer's exact bytes from the cache, instead of
-/// burning the pool N times for one answer. The vendored parking_lot
-/// has no Condvar, so this uses std's; a poisoned lock is recovered
-/// rather than propagated (the critical sections are pure HashSet
-/// operations, so the set cannot be left inconsistent).
+/// burning the pool N times for one answer. A poisoned lock is
+/// recovered rather than propagated (the critical sections are pure
+/// HashSet operations, so the set cannot be left inconsistent).
 struct SingleFlight<K> {
     inflight: Mutex<HashSet<K>>,
     done: Condvar,

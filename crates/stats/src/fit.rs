@@ -7,9 +7,10 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A fitted line `y = slope·x + intercept` with its goodness of fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinearFit {
+/// A fitted line `y = slope·x + intercept` with its goodness of fit —
+/// the log-space core of [`ExponentialFit`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LinearFit {
     /// Slope.
     pub slope: f64,
     /// Intercept.
@@ -59,11 +60,6 @@ impl LinearFit {
             r_squared,
         })
     }
-
-    /// Evaluate the line at `x`.
-    pub fn at(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 /// An exponential growth law `y = a·e^(b·x)`, fit by OLS in log space.
@@ -112,7 +108,7 @@ mod tests {
         assert!((f.slope - 3.0).abs() < 1e-12);
         assert!((f.intercept - 2.0).abs() < 1e-12);
         assert!((f.r_squared - 1.0).abs() < 1e-12);
-        assert!((f.at(20.0) - 62.0).abs() < 1e-12);
+        assert!((f.slope * 20.0 + f.intercept - 62.0).abs() < 1e-12);
     }
 
     #[test]

@@ -43,17 +43,15 @@ mod ecdf;
 mod fit;
 mod histogram;
 mod p2;
-mod reservoir;
 mod summary;
 mod tail;
 mod timeseries;
 
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
 pub use ecdf::Ecdf;
-pub use fit::{ExponentialFit, LinearFit};
+pub use fit::ExponentialFit;
 pub use histogram::{Histogram, HistogramBucket};
 pub use p2::P2Quantile;
-pub use reservoir::Reservoir;
 pub use summary::Summary;
 pub use tail::TailMetrics;
 pub use timeseries::RateSeries;

@@ -23,12 +23,11 @@ use std::process::ExitCode;
 use stream_score::core::frontier::{AlphaJitter, Axis, FrontierMap, FrontierSpec};
 use stream_score::core::planner::plan_for_tier;
 use stream_score::core::sensitivity::Sensitivity;
-use stream_score::core::EvalEngine;
 use stream_score::loadgen::{
     boundary_csv, fleet_csv, fleet_scenario_table, fleet_table, frontier_csv, frontier_table,
     loadtest_table, ramp_table, replay_csv, replay_summary_table, replay_table, run_conn_ramp,
-    run_http_load, AdmissionPolicy, ConnRampSpec, FleetConfig, FleetEngine, FleetSim, FrontierJob,
-    HttpLoadSpec, ReplayConfig, SessionReplay, STEADY_TOLERANCE,
+    run_http_load, AdmissionPolicy, ConnRampSpec, FleetConfig, FleetSim, FrontierJob, HttpLoadSpec,
+    ReplayConfig, SessionReplay, STEADY_TOLERANCE,
 };
 use stream_score::prelude::*;
 use stream_score::report::CharGrid;
@@ -46,7 +45,6 @@ fn usage() -> &'static str {
                               [--curve results/fig2a_curve.json]\n\
        stream-score scenarios [--scenario <ID>] [--depth quick|full]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
-                              [--engine batched|scalar] [--chunk <N>]\n\
                               [--levels 1,4,8] [--seconds <N>]\n\
                               [--seed <N>] [--format text|md]\n\
        stream-score simulate  [--scenario <ID>] [--shapes steady,diurnal,bursty,outage]\n\
@@ -58,7 +56,6 @@ fn usage() -> &'static str {
                               [--policy fifo|fair-share|priority] [--slots <N>]\n\
                               [--wan <RATE>] [--shape steady|diurnal|bursty|outage]\n\
                               [--frames <N>] [--seed <N>] [--fidelity exact|fluid|hybrid]\n\
-                              [--engine incremental|reference]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
                               [--format text|md|csv] [--check true]\n\
        stream-score frontier  --scenario <ID> | (same flags as decide)\n\
@@ -66,7 +63,6 @@ fn usage() -> &'static str {
                               [--z <AXIS:LO:HI[:log]> --slices <N>]\n\
                               [--resolution <N>] [--tolerance <T>]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
-                              [--chunk <N>]\n\
                               [--jitter-sd <SD> --jitter-samples <N>] [--seed <N>]\n\
                               [--format text|md|csv]\n\
        stream-score probe     [--seconds <N>] [--concurrency <N>]\n\
@@ -80,7 +76,7 @@ fn usage() -> &'static str {
                               [--requests <N>] [--distinct <N>] [--seed <N>]\n\
                               [--workers <N>] [--cache-capacity <N>]\n\
                               [--frontend reactor|threaded] [--format text|md]\n\
-       stream-score help\n\
+       stream-score help | <command> --help\n\
      \n\
      EXAMPLES:\n\
        stream-score decide --data 2GB --intensity 17TF/GB --local 10TF \\\n\
@@ -92,17 +88,100 @@ fn usage() -> &'static str {
        stream-score fleet    --load 8 --policy priority --wan 40Gbps\n"
 }
 
-/// Parse `--key value` pairs, naming the offending flag on malformed or
-/// duplicated input.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The model-parameter flags [`params_from_flags`] reads.
+const PARAM_FLAGS: &str = "data intensity local remote bw alpha theta";
+
+/// A subcommand's handler.
+type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// A subcommand: its handler and every flag it reads.
+struct Command {
+    run: Handler,
+    /// Whether it also reads [`PARAM_FLAGS`].
+    params: bool,
+    /// Space-separated flag names, without the leading `--`.
+    flags: &'static str,
+}
+
+/// The subcommand called `name`, if there is one.
+fn command(name: &str) -> Option<Command> {
+    let (run, params, flags): (Handler, bool, &str) = match name {
+        "decide" => (cmd_decide, true, ""),
+        "tiers" => (cmd_tiers, true, "sss"),
+        "plan" => (cmd_plan, true, "tier curve"),
+        "scenarios" => (
+            cmd_scenarios,
+            false,
+            "scenario depth mode workers levels seconds seed format",
+        ),
+        "simulate" => (
+            cmd_simulate,
+            false,
+            "scenario shapes frames files seed fidelity mode workers format check tolerance",
+        ),
+        "fleet" => (
+            cmd_fleet,
+            false,
+            "scenario sessions load policy slots wan shape frames seed fidelity mode workers \
+             format check",
+        ),
+        "frontier" => (
+            cmd_frontier,
+            true,
+            "scenario x y z slices resolution tolerance mode workers jitter-sd jitter-samples \
+             seed format",
+        ),
+        "probe" => (cmd_probe, false, "seconds concurrency"),
+        "serve" => (
+            cmd_serve,
+            false,
+            "port workers cache-capacity batch-max fleet-cap frontend max-conns idle-ticks \
+             tick-ms read-buf write-buf",
+        ),
+        "loadtest" => (
+            cmd_loadtest,
+            false,
+            "addr clients concurrency requests distinct seed workers cache-capacity frontend \
+             format",
+        ),
+        _ => return None,
+    };
+    Some(Command { run, params, flags })
+}
+
+impl Command {
+    /// Whether the subcommand reads `--key`.
+    fn accepts(&self, key: &str) -> bool {
+        let params = if self.params { PARAM_FLAGS } else { "" };
+        self.flags
+            .split_whitespace()
+            .chain(params.split_whitespace())
+            .any(|f| f == key)
+    }
+}
+
+/// Parse `--key value` pairs for the subcommand `name`, naming the
+/// offending flag on malformed, duplicated or unknown input. `Ok(None)`
+/// means `--help` (or `-h`) was asked for in place of a flag.
+fn parse_flags(
+    name: &str,
+    cmd: &Command,
+    args: &[String],
+) -> Result<Option<HashMap<String, String>>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
+        if args[i] == "--help" || args[i] == "-h" {
+            return Ok(None);
+        }
         let Some(key) = args[i].strip_prefix("--") else {
             return Err(format!("expected a flag (--key value), got {:?}", args[i]));
         };
         if key.is_empty() {
             return Err("expected a flag name after \"--\"".into());
+        }
+        if !cmd.accepts(key) {
+            return Err(format!("unknown flag --{key} for {name}"));
         }
         let Some(value) = args.get(i + 1) else {
             return Err(format!("flag --{key} is missing its value"));
@@ -112,7 +191,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         }
         i += 2;
     }
-    Ok(flags)
+    Ok(Some(flags))
 }
 
 fn params_from_flags(flags: &HashMap<String, String>) -> Result<ModelParams, String> {
@@ -312,15 +391,6 @@ fn cmd_scenarios(flags: &HashMap<String, String>) -> Result<(), String> {
         Some("text") | None => false,
         Some(other) => return Err(format!("unknown format {other:?} (use text or md)")),
     };
-    let engine: EvalEngine = match flags.get("engine") {
-        Some(raw) => raw.parse()?,
-        None => EvalEngine::Batched,
-    };
-    let chunk = parse_chunk(flags)?;
-    if engine == EvalEngine::Scalar && chunk.is_some() {
-        return Err("--chunk tunes the batched engine and conflicts with --engine scalar".into());
-    }
-
     let suite = match flags.get("scenario") {
         Some(query) => {
             let scenario = Scenario::resolve(query)?;
@@ -328,26 +398,19 @@ fn cmd_scenarios(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         None => ScenarioSuite::bundled(config),
     }?;
-    let chunk_or_default = chunk.unwrap_or(ScenarioSuite::DEFAULT_CHUNK);
     let evaluations = match flags.get("mode").map(String::as_str) {
         Some("sequential") => {
             if flags.contains_key("workers") {
                 return Err("--workers conflicts with --mode sequential".into());
             }
-            if chunk.is_some() {
-                return Err(
-                    "--chunk tunes the parallel batch fan-out and conflicts with --mode sequential"
-                        .into(),
-                );
-            }
-            suite.run_with(None, engine, chunk_or_default)
+            suite.run_sequential()
         }
         Some("parallel") | None => {
             let pool = match parse_workers(flags)? {
                 Some(n) => ThreadPool::new(n),
                 None => ThreadPool::with_available_parallelism(),
             };
-            suite.run_with(Some(&pool), engine, chunk_or_default)
+            suite.run(&pool)
         }
         Some(other) => {
             return Err(format!(
@@ -555,9 +618,6 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(raw) = flags.get("fidelity") {
         config.fidelity = Fidelity::parse(raw)?;
     }
-    if let Some(raw) = flags.get("engine") {
-        config.engine = FleetEngine::parse(raw)?;
-    }
     config.validate()?;
 
     let format = flags.get("format").map(String::as_str);
@@ -736,17 +796,10 @@ fn cmd_frontier(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let job = FrontierJob::new(base, spec)?;
-    let chunk = parse_chunk(flags)?;
     let map = match flags.get("mode").map(String::as_str) {
         Some("sequential") => {
             if flags.contains_key("workers") {
                 return Err("--workers conflicts with --mode sequential".into());
-            }
-            if chunk.is_some() {
-                return Err(
-                    "--chunk tunes the parallel edge bundles and conflicts with --mode sequential"
-                        .into(),
-                );
             }
             job.run_sequential()
         }
@@ -755,7 +808,7 @@ fn cmd_frontier(flags: &HashMap<String, String>) -> Result<(), String> {
                 Some(n) => ThreadPool::new(n),
                 None => ThreadPool::with_available_parallelism(),
             };
-            job.run_chunked(&pool, chunk.unwrap_or(FrontierJob::DEFAULT_EDGE_CHUNK))
+            job.run(&pool)
         }
         Some(other) => {
             return Err(format!(
@@ -877,25 +930,6 @@ fn parse_workers(flags: &HashMap<String, String>) -> Result<Option<usize>, Strin
             let n: usize = raw.parse().map_err(|_| format!("bad --workers {raw:?}"))?;
             if n == 0 {
                 return Err("--workers must be >= 1 (a pool with zero workers cannot run)".into());
-            }
-            Ok(Some(n))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Parse the optional `--chunk` flag — operating points (scenarios) or
-/// boundary edges per batched pool task — rejecting 0 up front. Any
-/// positive chunk produces byte-identical output; the flag only tunes how
-/// work is bundled onto workers. Shared by `scenarios` and `frontier`.
-fn parse_chunk(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
-    match flags.get("chunk") {
-        Some(raw) => {
-            let n: usize = raw.parse().map_err(|_| format!("bad --chunk {raw:?}"))?;
-            if n == 0 {
-                return Err(
-                    "--chunk must be >= 1 (a zero-item batch chunk cannot make progress)".into(),
-                );
             }
             Ok(Some(n))
         }
@@ -1093,34 +1127,24 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("malformed flags: {e}\n");
-            eprint!("{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "decide" => cmd_decide(&flags),
-        "tiers" => cmd_tiers(&flags),
-        "plan" => cmd_plan(&flags),
-        "scenarios" => cmd_scenarios(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "fleet" => cmd_fleet(&flags),
-        "frontier" => cmd_frontier(&flags),
-        "probe" => cmd_probe(&flags),
-        "serve" => cmd_serve(&flags),
-        "loadtest" => cmd_loadtest(&flags),
-        "help" | "--help" | "-h" => {
-            print!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let result = match command(name) {
+        None => Err(format!("unknown command {name:?}")),
+        Some(cmd) => match parse_flags(name, &cmd, &args[1..]) {
+            Ok(Some(flags)) => (cmd.run)(&flags),
+            Ok(None) => {
+                print!("{}", usage());
+                return ExitCode::SUCCESS;
+            }
+            Err(e) => Err(format!("malformed flags: {e}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

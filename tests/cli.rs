@@ -140,34 +140,6 @@ fn scenarios_rejects_bad_depth() {
 }
 
 #[test]
-fn scenarios_engines_agree_byte_for_byte() {
-    let mut scalar: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    scalar.extend_from_slice(&["--engine", "scalar"]);
-    let mut batched: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    batched.extend_from_slice(&["--engine", "batched", "--chunk", "3"]);
-    let (ok_a, stdout_a, _) = run(&scalar);
-    let (ok_b, stdout_b, _) = run(&batched);
-    assert!(ok_a && ok_b);
-    assert_eq!(
-        stdout_a, stdout_b,
-        "scalar and batched engines must emit identical bytes"
-    );
-
-    let (ok, _, stderr) = run(&["scenarios", "--engine", "vectorized"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown engine"), "{stderr}");
-
-    // --chunk only tunes the batched engine; pairing it with the scalar
-    // oracle is rejected rather than silently ignored.
-    let (ok, _, stderr) = run(&["scenarios", "--engine", "scalar", "--chunk", "4"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("conflicts with --engine scalar"),
-        "{stderr}"
-    );
-}
-
-#[test]
 fn scenarios_filters_to_one_facility() {
     let mut args: Vec<&str> = SCENARIOS_QUICK.to_vec();
     args.extend_from_slice(&["--scenario", "frib"]);
@@ -199,41 +171,6 @@ fn scenario_typos_get_a_suggestion() {
     ]);
     assert!(!ok);
     assert!(stderr.contains("did you mean \"lcls\"?"), "{stderr}");
-}
-
-#[test]
-fn scenarios_chunk_conflicts_with_sequential_mode() {
-    let mut args: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    args.extend_from_slice(&["--mode", "sequential", "--chunk", "4"]);
-    let (ok, _, stderr) = run(&args);
-    assert!(!ok);
-    assert!(
-        stderr.contains("conflicts with --mode sequential"),
-        "{stderr}"
-    );
-}
-
-#[test]
-fn chunk_zero_rejected() {
-    let mut scen: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    scen.extend_from_slice(&["--chunk", "0"]);
-    let (ok, _, stderr) = run(&scen);
-    assert!(!ok);
-    assert!(stderr.contains("--chunk must be >= 1"), "{stderr}");
-
-    let (ok, _, stderr) = run(&[
-        "frontier",
-        "--scenario",
-        "lcls2",
-        "--x",
-        "wan_gbps:1:400",
-        "--y",
-        "data_gb:1:10",
-        "--chunk",
-        "0",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("--chunk must be >= 1"), "{stderr}");
 }
 
 const FRONTIER_QUICK: &[&str] = &[
@@ -268,28 +205,6 @@ fn frontier_parallel_and_sequential_agree() {
     let (ok_b, stdout_b, _) = run(&par);
     assert!(ok_a && ok_b);
     assert_eq!(stdout_a, stdout_b, "frontier output must be bit-identical");
-}
-
-#[test]
-fn frontier_chunk_does_not_change_bytes() {
-    let (ok, reference, _) = run(FRONTIER_QUICK);
-    assert!(ok);
-    for chunk in ["1", "64"] {
-        let mut args: Vec<&str> = FRONTIER_QUICK.to_vec();
-        args.extend_from_slice(&["--chunk", chunk, "--workers", "4"]);
-        let (ok, stdout, stderr) = run(&args);
-        assert!(ok, "{stderr}");
-        assert_eq!(stdout, reference, "--chunk {chunk} changed the bytes");
-    }
-    // --chunk tunes the parallel fan-out only.
-    let mut args: Vec<&str> = FRONTIER_QUICK.to_vec();
-    args.extend_from_slice(&["--mode", "sequential", "--chunk", "4"]);
-    let (ok, _, stderr) = run(&args);
-    assert!(!ok);
-    assert!(
-        stderr.contains("conflicts with --mode sequential"),
-        "{stderr}"
-    );
 }
 
 #[test]
@@ -410,6 +325,64 @@ fn flag_missing_value_names_the_flag() {
     assert!(!ok);
     assert!(stderr.contains("--data is missing its value"), "{stderr}");
     assert!(stderr.contains("USAGE"), "{stderr}");
+}
+
+#[test]
+fn unknown_flags_name_the_flag() {
+    // A typo must not silently fall back to the default (θ = 1 here).
+    let mut args: Vec<&str> = DECIDE_ARGS.to_vec();
+    args.extend_from_slice(&["--thetaa", "9"]);
+    let (ok, stdout, stderr) = run(&args);
+    assert!(!ok, "{stdout}");
+    assert!(
+        stderr.contains("unknown flag --thetaa for decide"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE"), "{stderr}");
+
+    // Flags are per subcommand: a valid flag of another one is rejected.
+    let mut args: Vec<&str> = DECIDE_ARGS.to_vec();
+    args.extend_from_slice(&["--workers", "4"]);
+    let (ok, _, stderr) = run(&args);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown flag --workers for decide"),
+        "{stderr}"
+    );
+
+    // The retired engine and chunk switches fail loudly.
+    for (args, flag) in [
+        (
+            &["fleet", "--engine", "reference"][..],
+            "--engine for fleet",
+        ),
+        (
+            &["scenarios", "--engine", "scalar"][..],
+            "--engine for scenarios",
+        ),
+        (&["scenarios", "--chunk", "3"][..], "--chunk for scenarios"),
+        (
+            &["frontier", "--scenario", "lcls2", "--chunk", "1"][..],
+            "--chunk for frontier",
+        ),
+    ] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+}
+
+#[test]
+fn subcommand_help_prints_usage() {
+    for args in [
+        &["decide", "--help"][..],
+        &["fleet", "-h"][..],
+        &["frontier", "--scenario", "lcls2", "--help"][..],
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{stdout}");
+    }
 }
 
 #[test]

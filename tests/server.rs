@@ -353,3 +353,41 @@ fn healthz_cache_stats_are_byte_stable_across_runs() {
     };
     assert_eq!(run(), run(), "cache-stats bytes drifted between runs");
 }
+
+/// `POST /fleet` no longer reads an `"engine"` field: a body that still
+/// carries one is served like the same body without it, and both match
+/// the library's own run byte for byte, so the field cannot fork the
+/// fleet cache whichever request arrives first.
+#[test]
+fn fleet_ignores_a_retired_engine_field() {
+    use stream_score::loadgen::{FleetConfig, FleetSim};
+    use stream_score::units::Rate;
+
+    let handle = start(2, 64);
+    let addr = handle.addr();
+    let fields = r#""sessions":13,"load":6.0,"wan_gbps":40.0,"slots":3,"seed":7"#;
+    let (status, with_engine) = call(
+        addr,
+        "POST",
+        "/fleet",
+        &format!(r#"{{{fields},"engine":"reference"}}"#),
+    );
+    assert_eq!(status, 200, "{with_engine}");
+    let (status, without) = call(addr, "POST", "/fleet", &format!("{{{fields}}}"));
+    assert_eq!(status, 200, "{without}");
+    handle.shutdown();
+
+    let report = FleetSim::bundled(FleetConfig {
+        sessions: 13,
+        load: 6.0,
+        wan: Rate::from_gbps(40.0),
+        slots: 3,
+        ..FleetConfig::standard(7)
+    })
+    .expect("valid fleet")
+    .run_sequential()
+    .expect("fleet runs");
+    let library = serde_json::to_string(&report).expect("report serializes");
+    assert_eq!(with_engine, without);
+    assert_eq!(with_engine, library);
+}
